@@ -92,7 +92,9 @@ func (db *DB) Get(key int64) ([]byte, error) {
 }
 
 // Scan visits rows with keys in [from, to] in ascending order; the
-// visitor returns false to stop.
+// visitor returns false to stop. val is the page's own bytes: it is valid
+// only until the visitor returns, and the visitor must not modify the
+// database.
 func (db *DB) Scan(from, to int64, visit func(key int64, val []byte) bool) error {
 	_, err := db.pager.treeScan(db.pager.rootPage, from, to, visit)
 	return err

@@ -567,3 +567,204 @@ func TestScanEarlyStop(t *testing.T) {
 		t.Fatalf("visited = %d, want early stop at 5", visited)
 	}
 }
+
+// TestSplitUnevenCells: a leaf whose small cells sort before its large
+// ones cannot be cut at the middle cell without one half overflowing a
+// page; the split must find a cut that fits instead of failing.
+func TestSplitUnevenCells(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		small []int64 // keys with empty values
+		large []int64 // keys with vlen-byte values, inserted in order
+		vlen  int
+	}{
+		{"right half overflows", []int64{0, 1, 2, 3, 4, 5}, []int64{10, 11, 12, 13, 14, 15, 16}, 600},
+		{"left half overflows", []int64{20, 21, 22, 23}, []int64{0, 1, 2, 3}, 1020},
+	} {
+		db, _ := openTestDB(t)
+		tx, _ := db.Begin()
+		want := make(map[int64][]byte)
+		for _, k := range tc.small {
+			if err := tx.Insert(k, nil); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = nil
+		}
+		for _, k := range tc.large {
+			v := bytes.Repeat([]byte{byte(k)}, tc.vlen)
+			if err := tx.Insert(k, v); err != nil {
+				t.Fatalf("%s: insert %d: %v", tc.name, k, err)
+			}
+			want[k] = v
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		checkContents(t, db, want)
+	}
+}
+
+// faultIO fails chosen calls with EHOSTDOWN, as the supervisor's fault
+// injector fails a redirected call.
+type faultIO struct {
+	*fsIO
+	failHeaderRead bool // the next read of page 0 fails
+	failFsync      bool // every fsync fails
+}
+
+func (f *faultIO) Pread(fd int, n int, off int64) ([]byte, error) {
+	if f.failHeaderRead && n == PageSize && off == 0 {
+		f.failHeaderRead = false
+		return nil, abi.EHOSTDOWN
+	}
+	return f.fsIO.Pread(fd, n, off)
+}
+
+func (f *faultIO) Fsync(fd int) (int, error) {
+	if f.failFsync {
+		return 0, abi.EHOSTDOWN
+	}
+	return f.fsIO.Fsync(fd)
+}
+
+// commitRows commits rows [from, to) with 100-byte values and records
+// each in want.
+func commitRows(t *testing.T, db *DB, from, to int64, want map[int64][]byte) {
+	t.Helper()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := from; k < to; k++ {
+		v := bytes.Repeat([]byte{byte(k)}, 100)
+		if err := tx.Insert(k, v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSplitHeaderReadFailure: after a reopen page 0 is not cached, so the
+// header update of a page split reads it first. When that read fails the
+// insert must fail, not commit a page the header does not count.
+func TestSplitHeaderReadFailure(t *testing.T) {
+	io := &faultIO{fsIO: newFSIO(t)}
+	const path = "/data/fault.db"
+	db, err := Open(io, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]byte)
+	commitRows(t, db, 0, 300, want)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = Open(io, path); err != nil {
+		t.Fatal(err)
+	}
+	io.failHeaderRead = true
+	tx, _ := db.Begin()
+	var insertErr error
+	for k := int64(1000); k < 1100 && insertErr == nil; k++ {
+		insertErr = tx.Insert(k, bytes.Repeat([]byte{1}, 100))
+	}
+	if !errors.Is(insertErr, abi.EHOSTDOWN) {
+		t.Fatalf("insert across a split with the header read failing: %v, want EHOSTDOWN", insertErr)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	commitRows(t, db, 2000, 2100, want)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = Open(io, path); err != nil {
+		t.Fatal(err)
+	}
+	checkContents(t, db, want)
+}
+
+// TestRecoveryFsyncFailureClosesFiles: a failed fsync while replaying the
+// journal must not leak the journal or database descriptor, and the
+// journal must survive for the next open to replay.
+func TestRecoveryFsyncFailureClosesFiles(t *testing.T) {
+	io := &faultIO{fsIO: newFSIO(t)}
+	const path = "/data/recover.db"
+	db, err := Open(io, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64][]byte)
+	commitRows(t, db, 0, 300, want)
+	tx, _ := db.Begin()
+	for k := int64(0); k < 600; k++ {
+		if err := tx.Insert(k, []byte("uncommitted")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.pager.flush(); err != nil {
+		t.Fatal(err)
+	}
+	db.DropCaches() // crash with the journal on disk
+	open := len(io.fds)
+
+	io.failFsync = true
+	if _, err := Open(io, path); !errors.Is(err, abi.EHOSTDOWN) {
+		t.Fatalf("recovery with fsync failing: %v, want EHOSTDOWN", err)
+	}
+	if leaked := len(io.fds) - open; leaked != 0 {
+		t.Fatalf("failed recovery leaked %d descriptors", leaked)
+	}
+
+	io.failFsync = false
+	if db, err = Open(io, path); err != nil {
+		t.Fatal(err)
+	}
+	checkContents(t, db, want)
+}
+
+// TestGetAllocs: a point read allocates only the copy it returns.
+func TestGetAllocs(t *testing.T) {
+	db, _ := openTestDB(t)
+	commitRows(t, db, 0, 2000, make(map[int64][]byte))
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := db.Get(1234); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Get allocates %.1f objects, want at most 1", allocs)
+	}
+}
+
+// TestInsertAllocs: an insert into a leaf the transaction has already
+// journaled, that does not split it, allocates nothing.
+func TestInsertAllocs(t *testing.T) {
+	db, _ := openTestDB(t)
+	commitRows(t, db, 0, 2000, make(map[int64][]byte))
+	tx, _ := db.Begin()
+	// Overwriting key 0 journals the leftmost leaf, which the ascending
+	// inserts left half full; the new negative keys all land in it.
+	key, val := int64(0), bytes.Repeat([]byte{1}, 100)
+	if err := tx.Insert(key, val); err != nil {
+		t.Fatal(err)
+	}
+	pages := db.Pages()
+	allocs := testing.AllocsPerRun(20, func() {
+		key--
+		if err := tx.Insert(key, val[:8]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if db.Pages() != pages {
+		t.Fatalf("inserts split a page (%d -> %d pages)", pages, db.Pages())
+	}
+	if allocs != 0 {
+		t.Fatalf("Insert allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -1,6 +1,8 @@
 // Package minidb is the embedded database standing in for SQLite in the
 // macrobenchmarks (Section VI-B): a pager with a rollback journal over the
-// simulated filesystem, and a B+tree keyed by 64-bit row ids.
+// simulated filesystem, and a B+tree keyed by 64-bit row ids. Tree pages
+// hold packed cells, and every operation reads and edits the cached page
+// bytes in place, as SQLite edits its B-tree pages.
 //
 // All I/O goes through the FileIO interface — satisfied by
 // anception.Proc — so database operations are subject to the platform's
@@ -71,6 +73,10 @@ type pager struct {
 	// journal file (with an fsync) before any database page hits disk,
 	// the same ordering contract SQLite's rollback journal keeps.
 	journalBuf []byte
+
+	// scratch holds a page mid-split: the edit that overflows it is made
+	// here, then cut in two.
+	scratch []byte
 }
 
 func openPager(io FileIO, path string) (*pager, error) {
@@ -179,25 +185,27 @@ func (p *pager) modify(no uint32) ([]byte, error) {
 		return nil, err
 	}
 	if p.journalOpen && !p.journaled[no] && no < p.origCount {
-		entry := make([]byte, 4+PageSize)
-		binary.LittleEndian.PutUint32(entry, no)
-		copy(entry[4:], buf)
-		p.journalBuf = append(p.journalBuf, entry...)
+		p.journalBuf = binary.LittleEndian.AppendUint32(p.journalBuf, no)
+		p.journalBuf = append(p.journalBuf, buf...)
 		p.journaled[no] = true
 	}
 	p.dirty[no] = true
 	return buf, nil
 }
 
-// alloc appends a fresh page.
-func (p *pager) alloc() (uint32, []byte) {
+// alloc appends a fresh page and records the new page count in the
+// header. On error the page count is left as it was.
+func (p *pager) alloc() (uint32, []byte, error) {
 	no := p.pageCount
 	p.pageCount++
+	if err := p.writeHeader(); err != nil {
+		p.pageCount--
+		return 0, nil, err
+	}
 	buf := make([]byte, PageSize)
 	p.cache[no] = buf
 	p.dirty[no] = true
-	_ = p.writeHeader()
-	return no, buf
+	return no, buf, nil
 }
 
 func (p *pager) beginJournal() error {
@@ -343,29 +351,31 @@ func (p *pager) rollbackJournalFile() error {
 		_ = p.io.Close(jfd)
 		return err
 	}
-	off := int64(8)
-	for {
+	err = p.restoreJournal(jfd, dbfd, origCount)
+	_ = p.io.Close(jfd)
+	_ = p.io.Close(dbfd)
+	if err != nil {
+		return err
+	}
+	return p.io.Unlink(p.journalPath)
+}
+
+// restoreJournal writes the journal's before-images back into the
+// database file, truncates it to origCount pages and syncs it.
+func (p *pager) restoreJournal(jfd, dbfd int, origCount uint32) error {
+	for off := int64(8); ; off += 4 + PageSize {
 		entry, err := p.io.Pread(jfd, 4+PageSize, off)
 		if err != nil || len(entry) < 4+PageSize {
 			break
 		}
 		no := binary.LittleEndian.Uint32(entry)
 		if _, err := p.io.Pwrite(dbfd, entry[4:], int64(no)*PageSize); err != nil {
-			_ = p.io.Close(jfd)
-			_ = p.io.Close(dbfd)
 			return err
 		}
-		off += int64(4 + PageSize)
 	}
 	if err := p.io.Ftruncate(dbfd, int64(origCount)*PageSize); err != nil {
-		_ = p.io.Close(jfd)
-		_ = p.io.Close(dbfd)
 		return err
 	}
-	if _, err := p.io.Fsync(dbfd); err != nil {
-		return err
-	}
-	_ = p.io.Close(jfd)
-	_ = p.io.Close(dbfd)
-	return p.io.Unlink(p.journalPath)
+	_, err := p.io.Fsync(dbfd)
+	return err
 }

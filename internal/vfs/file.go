@@ -147,11 +147,7 @@ func (f *File) Write(p []byte) (int, error) {
 		f.off = int64(len(f.ino.Data))
 	}
 	end := f.off + int64(len(p))
-	if end > int64(len(f.ino.Data)) {
-		grown := make([]byte, end)
-		copy(grown, f.ino.Data)
-		f.ino.Data = grown
-	}
+	f.ino.growTo(end)
 	copy(f.ino.Data[f.off:], p)
 	f.ino.markDirtyRange(f.off, int64(len(p)))
 	f.off = end
@@ -168,12 +164,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.ino.Data)) {
-		grown := make([]byte, end)
-		copy(grown, f.ino.Data)
-		f.ino.Data = grown
-	}
+	f.ino.growTo(off + int64(len(p)))
 	copy(f.ino.Data[off:], p)
 	f.ino.markDirtyRange(off, int64(len(p)))
 	return len(p), nil

@@ -632,11 +632,19 @@ func truncateData(ino *Inode, size int64) {
 	case size < int64(len(ino.Data)):
 		ino.Data = ino.Data[:size]
 	case size > int64(len(ino.Data)):
-		grown := make([]byte, size)
-		copy(grown, ino.Data)
-		ino.Data = grown
+		ino.growTo(size)
 	}
 	ino.markDirtyRange(0, size)
+}
+
+// growTo extends the file with zeros to size bytes, if it is shorter.
+// append grows the capacity geometrically, so a file written in order
+// costs amortised linear copying, and it zeroes the new bytes even where
+// the capacity still holds data a truncate cut off.
+func (ino *Inode) growTo(size int64) {
+	if n := size - int64(len(ino.Data)); n > 0 {
+		ino.Data = append(ino.Data, make([]byte, n)...)
+	}
 }
 
 func (ino *Inode) markDirtyRange(off, n int64) {

@@ -188,6 +188,57 @@ func TestTruncateGrowAndShrink(t *testing.T) {
 	}
 }
 
+// TestShrinkThenExtendReadsZeros: a file keeps its capacity when it
+// shrinks, so extending it again must zero the bytes it regains rather
+// than expose what the truncate cut off.
+func TestShrinkThenExtendReadsZeros(t *testing.T) {
+	fs := newTestFS(t)
+	f, err := fs.Open(root, "/data/z", abi.ORdWr|abi.OCreat, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Repeat([]byte{0xAA}, 3*abi.PageSize)
+	extend := []struct {
+		name string
+		grow func() error
+		size int
+	}{
+		{"write-at past the end", func() error { _, err := f.WriteAt([]byte{1}, 2*abi.PageSize); return err }, 2*abi.PageSize + 1},
+		{"write at the offset", func() error {
+			if _, err := f.Seek(abi.PageSize, abi.SeekSet); err != nil {
+				return err
+			}
+			_, err := f.Write([]byte{1})
+			return err
+		}, abi.PageSize + 1},
+		{"truncate up", func() error { return f.Truncate(2 * abi.PageSize) }, 2 * abi.PageSize},
+	}
+	for _, tc := range extend {
+		if _, err := f.WriteAt(old, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(10); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.grow(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := make([]byte, 4*abi.PageSize)
+		n, err := f.ReadAt(got, 0)
+		if err != nil || n != tc.size {
+			t.Fatalf("%s: read %d bytes, %v; want %d", tc.name, n, err, tc.size)
+		}
+		if !bytes.Equal(got[:10], old[:10]) {
+			t.Fatalf("%s: kept bytes changed: %v", tc.name, got[:10])
+		}
+		for i, b := range got[10 : tc.size-1] {
+			if b != 0 {
+				t.Fatalf("%s: byte %d = %#x after extension, want 0", tc.name, 10+i, b)
+			}
+		}
+	}
+}
+
 func TestUnlinkAndRmdir(t *testing.T) {
 	fs := newTestFS(t)
 	if err := fs.WriteFile(root, "/data/f", []byte("x"), 0o644); err != nil {
