@@ -117,10 +117,10 @@ func TestChainResultRoundTrip(t *testing.T) {
 func TestDecodeChainResultRejectsBadHeader(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0, 0, 0, 0, 0, 0, 0, 0},                  // zero links
-		{1, 0, 0, 0, 2, 0, 0, 0},                  // executed > links
-		{MaxChainLinks + 1, 0, 0, 0, 0, 0, 0, 0},  // over cap
-		{1, 0, 0, 0, 1, 0, 0, 0},                  // truncated body
+		{0, 0, 0, 0, 0, 0, 0, 0},                 // zero links
+		{1, 0, 0, 0, 2, 0, 0, 0},                 // executed > links
+		{MaxChainLinks + 1, 0, 0, 0, 0, 0, 0, 0}, // over cap
+		{1, 0, 0, 0, 1, 0, 0, 0},                 // truncated body
 		append(EncodeChainResult(ChainResult{Executed: 1, Results: []kernel.Result{{Ret: 0}}}), 0x01),
 	}
 	for i, frame := range cases {

@@ -8,6 +8,7 @@
 package marshal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,6 +86,15 @@ func (w *writer) fieldBytes(tag uint8, b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+func (w *writer) fieldString(tag uint8, s string) {
+	if len(s) == 0 {
+		return
+	}
+	w.u8(tag)
+	w.u32(int64(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
 type reader struct {
 	buf []byte
 	pos int
@@ -123,16 +133,34 @@ func (r *reader) u64() uint64 {
 	return v
 }
 
-func (r *reader) bytes() []byte {
+func (r *reader) bytes() []byte { return bytes.Clone(r.view()) }
+
+// view is bytes without the copy: the field's bytes within the frame,
+// capped so an append to them cannot overwrite the rest of the frame.
+func (r *reader) view() []byte {
 	n := r.u32()
 	if r.err != nil || r.pos+n > len(r.buf) {
 		r.err = errTruncated
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.pos:])
+	out := r.buf[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return out
+}
+
+// size64 and sizeBytes are the encoded lengths of field64 and fieldBytes.
+func size64(v uint64) int {
+	if v == 0 {
+		return 0
+	}
+	return 9
+}
+
+func sizeBytes(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 5 + n
 }
 
 var errTruncated = fmt.Errorf("marshal: truncated message: %w", abi.EINVAL)
@@ -141,11 +169,11 @@ var errTruncated = fmt.Errorf("marshal: truncated message: %w", abi.EINVAL)
 // translation step: the Buf payload (a user-space pointer on real
 // hardware) is copied inline so the guest needs no access to host memory.
 func EncodeArgs(a *kernel.Args) []byte {
-	var w writer
+	w := writer{buf: make([]byte, 0, argsSize(a))}
 	w.u8(tagNr)
 	w.u64(uint64(a.Nr))
-	w.fieldBytes(tagPath, []byte(a.Path))
-	w.fieldBytes(tagPath2, []byte(a.Path2))
+	w.fieldString(tagPath, a.Path)
+	w.fieldString(tagPath2, a.Path2)
 	w.field64(tagFD, uint64(int64(a.FD)))
 	w.field64(tagFD2, uint64(int64(a.FD2)))
 	w.field64(tagFlags, uint64(a.Flags))
@@ -155,7 +183,7 @@ func EncodeArgs(a *kernel.Args) []byte {
 	w.field64(tagOff, uint64(a.Off))
 	w.field64(tagWhence, uint64(int64(a.Whence)))
 	w.field64(tagRequest, uint64(a.Request))
-	w.fieldBytes(tagAddr, []byte(a.Addr))
+	w.fieldString(tagAddr, a.Addr)
 	w.field64(tagFamily, uint64(int64(a.Family)))
 	w.field64(tagSockType, uint64(int64(a.SockType)))
 	w.field64(tagProto, uint64(int64(a.Proto)))
@@ -166,9 +194,9 @@ func EncodeArgs(a *kernel.Args) []byte {
 	w.field64(tagVaddr, a.Vaddr)
 	w.field64(tagPages, uint64(int64(a.Pages)))
 	w.field64(tagProt, uint64(int64(a.Prot)))
-	w.fieldBytes(tagTag, []byte(a.Tag))
+	w.fieldString(tagTag, a.Tag)
 	for _, s := range a.Argv {
-		w.fieldBytes(tagArgv, []byte(s))
+		w.fieldString(tagArgv, s)
 	}
 	readStyle := a.Nr == abi.SysReadv || a.Nr == abi.SysPreadv
 	for _, seg := range a.Iov {
@@ -180,6 +208,34 @@ func EncodeArgs(a *kernel.Args) []byte {
 		}
 	}
 	return w.buf
+}
+
+// argsSize is the exact length of EncodeArgs(a).
+func argsSize(a *kernel.Args) int {
+	n := 9 + sizeBytes(len(a.Path)) + sizeBytes(len(a.Path2)) +
+		size64(uint64(int64(a.FD))) + size64(uint64(int64(a.FD2))) +
+		size64(uint64(a.Flags)) + size64(uint64(a.Mode)) +
+		sizeBytes(len(a.Buf)) + size64(uint64(int64(a.Size))) +
+		size64(uint64(a.Off)) + size64(uint64(int64(a.Whence))) +
+		size64(uint64(a.Request)) + sizeBytes(len(a.Addr)) +
+		size64(uint64(int64(a.Family))) + size64(uint64(int64(a.SockType))) +
+		size64(uint64(int64(a.Proto))) + size64(uint64(int64(a.Sig))) +
+		size64(uint64(int64(a.TargetPID))) + size64(uint64(int64(a.UID))) +
+		size64(uint64(int64(a.GID))) + size64(a.Vaddr) +
+		size64(uint64(int64(a.Pages))) + size64(uint64(int64(a.Prot))) +
+		sizeBytes(len(a.Tag))
+	for _, s := range a.Argv {
+		n += sizeBytes(len(s))
+	}
+	readStyle := a.Nr == abi.SysReadv || a.Nr == abi.SysPreadv
+	for _, seg := range a.Iov {
+		if readStyle {
+			n += 9
+		} else {
+			n += sizeBytes(len(seg))
+		}
+	}
+	return n
 }
 
 // DecodeArgs reverses EncodeArgs.
@@ -340,25 +396,33 @@ func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
 
 // EncodeResult flattens a syscall result for the return trip.
 func EncodeResult(res kernel.Result) []byte {
-	var w writer
+	// An upper bound: an errno needs 9 bytes, error text its length + 5.
+	var errno abi.Errno
+	var errText string
+	isErrno := res.Err != nil && errors.As(res.Err, &errno)
+	n := 9 + sizeBytes(len(res.Data)) + size64(uint64(int64(res.FD))) + 9
+	if res.Err != nil && !isErrno {
+		errText = res.Err.Error()
+		n += len(errText)
+	}
+	w := writer{buf: make([]byte, 0, n)}
 	w.u8(tagRet)
 	w.u64(uint64(res.Ret))
 	w.fieldBytes(tagData, res.Data)
 	w.field64(tagResFD, uint64(int64(res.FD)))
-	if res.Err != nil {
-		var errno abi.Errno
-		if errors.As(res.Err, &errno) {
-			w.u8(tagErrno)
-			w.u64(uint64(int64(errno)))
-		} else {
-			w.fieldBytes(tagErrText, []byte(res.Err.Error()))
-		}
+	if isErrno {
+		w.u8(tagErrno)
+		w.u64(uint64(int64(errno)))
+	} else {
+		w.fieldString(tagErrText, errText)
 	}
 	return w.buf
 }
 
 // DecodeResult reverses EncodeResult. Errno errors survive the trip
-// matchably (errors.Is); other errors degrade to EIO with text.
+// matchably (errors.Is); other errors degrade to EIO with text. The
+// returned Data is a slice of b, not a copy: every transport hands the
+// decoder a fresh response frame per call, which nothing else writes.
 func DecodeResult(b []byte) (kernel.Result, error) {
 	var res kernel.Result
 	r := &reader{buf: b}
@@ -367,7 +431,7 @@ func DecodeResult(b []byte) (kernel.Result, error) {
 		case tagRet:
 			res.Ret = int64(r.u64())
 		case tagData:
-			res.Data = r.bytes()
+			res.Data = r.view()
 		case tagResFD:
 			res.FD = int(int64(r.u64()))
 		case tagErrno:

@@ -23,16 +23,29 @@ func newRingForTest(t *testing.T, depth int) (*RingChannel, *hypervisor.CVM, *si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewRingChannel(cvm, clock, model, nil, depth, 0), cvm, clock
+	r := NewRingChannel(cvm, clock, model, nil, depth, 0)
+	r.SetExecutor(&queueExec{q: make(chan *Pending, depth)})
+	return r, cvm, clock
 }
+
+// queueExec stands in for the proxy pool: it queues every slot, waited
+// calls included, and drainOne serves them one at a time.
+type queueExec struct{ q chan *Pending }
+
+func (e *queueExec) Enqueue(s *Pending)    { e.q <- s }
+func (e *queueExec) Claim(s *Pending) bool { e.q <- s; return false }
+func (e *queueExec) Run(*Pending)          {}
+func (e *queueExec) Close()                {}
 
 // drainOne pops the next submission and completes it through its handler,
 // standing in for one proxy-pool worker step.
 func drainOne(t *testing.T, r *RingChannel) {
 	t.Helper()
-	s, ok := r.NextSubmission()
-	if !ok {
-		t.Fatal("submission queue closed unexpectedly")
+	var s *Pending
+	select {
+	case s = <-r.exec.(*queueExec).q:
+	default:
+		t.Fatal("no submission queued")
 	}
 	if r.FailFastIfUnservable(s) {
 		return

@@ -33,7 +33,7 @@ const sockOpMagic uint8 = 0xA9
 
 // EncodeSockOp packs a socket operation into the fixed ring frame.
 func EncodeSockOp(a *kernel.Args) []byte {
-	var w writer
+	w := writer{buf: make([]byte, 0, 25+len(a.Addr)+len(a.Buf))}
 	w.u8(sockOpMagic)
 	w.u32(int64(a.Nr))
 	w.u32(int64(a.FD))
@@ -51,7 +51,9 @@ func IsSockOp(b []byte) bool {
 	return len(b) > 0 && b[0] == sockOpMagic
 }
 
-// DecodeSockOp reverses EncodeSockOp.
+// DecodeSockOp reverses EncodeSockOp. The returned Buf is a slice of b,
+// not a copy: every transport hands the guest a fresh request frame per
+// call, which nothing else writes.
 func DecodeSockOp(b []byte) (*kernel.Args, error) {
 	if !IsSockOp(b) {
 		return nil, fmt.Errorf("marshal: not a socket op: %w", abi.EINVAL)
@@ -73,8 +75,7 @@ func DecodeSockOp(b []byte) (*kernel.Args, error) {
 	a.Addr = string(b[r.pos : r.pos+addrLen])
 	r.pos += addrLen
 	if r.pos < len(b) {
-		a.Buf = make([]byte, len(b)-r.pos)
-		copy(a.Buf, b[r.pos:])
+		a.Buf = b[r.pos:len(b):len(b)]
 	}
 	return a, nil
 }
