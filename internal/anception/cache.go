@@ -465,12 +465,12 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	if out, ok := fc.composeLocked(c, args.Off, n); ok {
 		c.stats.Hits++
 		pages := pagesSpanned(args.Off, len(out))
-		l.clock.Advance(l.model.CacheLookup + time.Duration(pages)*l.model.CacheHitPerPage)
+		l.clock.Charge(t.Account(), l.model.CacheLookup+time.Duration(pages)*l.model.CacheHitPerPage)
 		copy(args.Buf, out)
 		return kernel.Result{Ret: int64(len(out)), Data: out}, true
 	}
 	c.stats.Misses++
-	l.clock.Advance(l.model.CacheLookup)
+	l.clock.Charge(t.Account(), l.model.CacheLookup)
 
 	// Make the guest authoritative (flush), learn the size if needed,
 	// then fetch the span plus read-ahead in one chunked round-trip.
@@ -490,7 +490,7 @@ func (l *Layer) cachedPread(st *layerState, t *kernel.Task, e *kernel.FDEntry, a
 	}
 	if out, ok := fc.composeLocked(c, args.Off, n); ok {
 		pages := pagesSpanned(args.Off, len(out))
-		l.clock.Advance(time.Duration(pages) * l.model.CacheHitPerPage)
+		l.clock.Charge(t.Account(), time.Duration(pages)*l.model.CacheHitPerPage)
 		copy(args.Buf, out)
 		return kernel.Result{Ret: int64(len(out)), Data: out}, true
 	}
@@ -518,7 +518,7 @@ func (l *Layer) cachedPwrite(st *layerState, t *kernel.Task, e *kernel.FDEntry, 
 	}
 	c.stats.Hits++
 	pages := pagesSpanned(args.Off, n)
-	l.clock.Advance(l.model.CacheLookup + time.Duration(pages)*l.model.CacheWriteBufferPerPage)
+	l.clock.Charge(t.Account(), l.model.CacheLookup+time.Duration(pages)*l.model.CacheWriteBufferPerPage)
 	// The write changes what stat would report for the backing path.
 	c.purgeAttrLocked(fc.path)
 
@@ -933,7 +933,7 @@ func (l *Layer) cachedPathCall(st *layerState, t *kernel.Task, args *kernel.Args
 	if ok && ent.gen == c.gen {
 		c.stats.Hits++
 		c.mu.Unlock()
-		l.clock.Advance(l.model.CacheLookup)
+		l.clock.Charge(t.Account(), l.model.CacheLookup)
 		res := ent.res
 		if len(res.Data) > 0 {
 			res.Data = append([]byte(nil), res.Data...)
@@ -942,7 +942,7 @@ func (l *Layer) cachedPathCall(st *layerState, t *kernel.Task, args *kernel.Args
 	}
 	c.stats.Misses++
 	c.mu.Unlock()
-	l.clock.Advance(l.model.CacheLookup)
+	l.clock.Charge(t.Account(), l.model.CacheLookup)
 	return kernel.Result{}, false
 }
 

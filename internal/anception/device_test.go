@@ -494,6 +494,50 @@ func TestLayerTimedOutCounter(t *testing.T) {
 	}
 }
 
+// interleavingTransport runs between inside every guest handler of the
+// wrapped transport: it stands in for whatever other goroutines charge the
+// shared clock while a call is in flight.
+type interleavingTransport struct {
+	marshal.Transport
+	between func()
+}
+
+func (w interleavingTransport) RoundTripAs(acct *sim.Account, payload []byte, handler marshal.GuestHandler) ([]byte, error) {
+	return marshal.RoundTripAs(w.Transport, acct, payload, func(req []byte) []byte {
+		w.between()
+		return handler(req)
+	})
+}
+
+// TestSyncCallDeadlineIgnoresOtherAppsWork pins what a redirected call's
+// deadline measures: its own costs and shared ones, but not work charged
+// to another app while the call is in flight, however the goroutines
+// happen to interleave.
+func TestSyncCallDeadlineIgnoresOtherAppsWork(t *testing.T) {
+	d := bootDevice(t, ModeAnception)
+	app := installAndLaunch(t, d, "com.deadline.app")
+	other := installAndLaunch(t, d, "com.deadline.other")
+	real := d.Layer.Transport()
+	over := 2 * d.Layer.Deadline()
+
+	d.Layer.SetTransport(interleavingTransport{real, func() {
+		other.Compute(int64(over / d.Model.CPUPerUnit))
+	}})
+	before := d.Clock.Now()
+	if _, err := app.Open("mine.txt", abi.OWrOnly|abi.OCreat, 0o600); err != nil {
+		t.Fatalf("open with another app's %v of work in flight: %v", over, err)
+	}
+	if elapsed := d.Clock.Now() - before; elapsed < over {
+		t.Fatalf("shared clock moved %v, want at least %v", elapsed, over)
+	}
+
+	d.Layer.SetTransport(interleavingTransport{real, func() { d.Clock.Advance(over) }})
+	if _, err := app.Open("shared.txt", abi.OWrOnly|abi.OCreat, 0o600); !errors.Is(err, abi.ETIMEDOUT) {
+		t.Fatalf("open with %v of shared time in flight: err = %v, want ETIMEDOUT", over, err)
+	}
+	d.Layer.SetTransport(real)
+}
+
 func TestLayerFailedFastCounter(t *testing.T) {
 	d := bootDevice(t, ModeAnception)
 	app := installAndLaunch(t, d, "com.degraded")

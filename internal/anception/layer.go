@@ -614,18 +614,18 @@ func echoHeartbeat(req []byte) []byte { return req }
 // a wedged or lossy one (ETIMEDOUT), and a corrupting one (EIO). Ping
 // deliberately ignores degraded mode so a half-open breaker can probe.
 func (l *Layer) Ping() error {
-	start := l.clock.Now()
+	span := l.clock.StartSpan()
 	resp, err := l.currentState().transport.RoundTrip(heartbeatPayload, echoHeartbeat)
 	if err != nil {
 		if errors.Is(err, marshal.ErrHang) {
-			if elapsed := l.clock.Now() - start; elapsed < l.deadline {
+			if elapsed := span.Elapsed(); elapsed < l.deadline {
 				l.clock.Advance(l.deadline - elapsed)
 			}
 			return fmt.Errorf("heartbeat hung past %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 		}
 		return err
 	}
-	if elapsed := l.clock.Now() - start; elapsed > l.deadline {
+	if elapsed := span.Elapsed(); elapsed > l.deadline {
 		return fmt.Errorf("heartbeat completed past %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
 	if !bytes.Equal(resp, heartbeatPayload) {
@@ -1177,10 +1177,10 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 		enc.Buf = nil
 	}
 	payload := marshal.EncodeArgs(&enc)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	l.clock.Charge(t.Account(), time.Duration(len(payload))*l.model.MarshalPerByte)
 
-	start := l.clock.Now()
-	respBytes, terr := tr.RoundTrip(payload, func(req []byte) []byte {
+	span := l.clock.StartSpan(t.Account(), p.Account())
+	respBytes, terr := marshal.RoundTripAs(tr, t.Account(), payload, func(req []byte) []byte {
 		decoded, derr := marshal.DecodeArgs(req)
 		if derr != nil {
 			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
@@ -1195,11 +1195,11 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 		return resp
 	})
 	if terr != nil {
-		return l.transportFailure(t, args, start, terr)
+		return l.transportFailure(t, args, span, terr)
 	}
 	// An injected (or modeled) delay can push a completed call past its
 	// budget; the app sees ETIMEDOUT either way.
-	if l.clock.Now()-start > l.deadline {
+	if span.Elapsed() > l.deadline {
 		l.counters.timedOut.Add(1)
 		if l.trace != nil {
 			l.trace.Record(sim.EvTimeout, "%s pid=%d completed past %v deadline", args.Nr, t.PID, l.deadline)
@@ -1240,10 +1240,10 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 		l.trace.Record(sim.EvRedirect, "redirect batch of %d calls pid=%d -> proxy %d", len(calls), t.PID, p.PID)
 	}
 	payload := marshal.EncodeArgsBatch(calls)
-	l.clock.Advance(time.Duration(len(payload)) * l.model.MarshalPerByte)
+	l.clock.Charge(t.Account(), time.Duration(len(payload))*l.model.MarshalPerByte)
 
-	start := l.clock.Now()
-	respBytes, terr := l.syncTransport(st).RoundTrip(payload, func(req []byte) []byte {
+	span := l.clock.StartSpan(t.Account(), p.Account())
+	respBytes, terr := marshal.RoundTripAs(l.syncTransport(st), t.Account(), payload, func(req []byte) []byte {
 		decoded, derr := marshal.DecodeArgsBatch(req)
 		if derr != nil {
 			return marshal.EncodeResultBatch([]kernel.Result{{Ret: -1, Err: abi.EINVAL}})
@@ -1263,10 +1263,10 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 		return resp
 	})
 	if terr != nil {
-		fail := l.transportFailure(t, calls[0], start, terr)
+		fail := l.transportFailure(t, calls[0], span, terr)
 		return nil, fail.Err
 	}
-	if l.clock.Now()-start > l.deadline {
+	if span.Elapsed() > l.deadline {
 		l.counters.timedOut.Add(1)
 		return nil, fmt.Errorf("batch exceeded %v deadline: %w", l.deadline, abi.ETIMEDOUT)
 	}
@@ -1283,10 +1283,10 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 // transportFailure converts a transport error into the app-visible errno:
 // ErrHang charges the remaining deadline and becomes ETIMEDOUT; EHOSTDOWN
 // passes through (counted); anything else is reported as-is.
-func (l *Layer) transportFailure(t *kernel.Task, args *kernel.Args, start time.Duration, terr error) kernel.Result {
+func (l *Layer) transportFailure(t *kernel.Task, args *kernel.Args, span sim.Span, terr error) kernel.Result {
 	if errors.Is(terr, marshal.ErrHang) {
-		if elapsed := l.clock.Now() - start; elapsed < l.deadline {
-			l.clock.Advance(l.deadline - elapsed)
+		if elapsed := span.Elapsed(); elapsed < l.deadline {
+			l.clock.Charge(t.Account(), l.deadline-elapsed)
 		}
 		l.counters.timedOut.Add(1)
 		if l.trace != nil {

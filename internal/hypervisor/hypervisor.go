@@ -210,11 +210,10 @@ func (c *CVM) ReadChannelFrame(f kernel.FrameID, buf []byte) error {
 }
 
 // InjectInterrupt signals the guest from the host (host -> guest world
-// switch). The returned function must be called to model the matching
-// guest-side handling epilogue; in practice callers just sequence their
-// guest work after this call.
-func (c *CVM) InjectInterrupt() {
-	c.clock.Advance(c.model.WorldSwitch)
+// switch), charging it to acct: the actor whose call it carries, or nil
+// for a switch shared by several (a ring doorbell).
+func (c *CVM) InjectInterrupt(acct *sim.Account) {
+	c.clock.Charge(acct, c.model.WorldSwitch)
 	c.mu.Lock()
 	c.switchesIn++
 	c.mu.Unlock()
@@ -223,9 +222,10 @@ func (c *CVM) InjectInterrupt() {
 	}
 }
 
-// Hypercall signals the host from the guest (guest -> host world switch).
-func (c *CVM) Hypercall() {
-	c.clock.Advance(c.model.WorldSwitch)
+// Hypercall signals the host from the guest (guest -> host world switch),
+// charging it to acct as InjectInterrupt does.
+func (c *CVM) Hypercall(acct *sim.Account) {
+	c.clock.Charge(acct, c.model.WorldSwitch)
 	c.mu.Lock()
 	c.switchesOut++
 	c.mu.Unlock()

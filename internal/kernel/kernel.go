@@ -11,6 +11,7 @@ package kernel
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"anception/internal/abi"
 	"anception/internal/binder"
@@ -337,6 +338,9 @@ func (k *Kernel) ResidentProcessPages() int {
 }
 
 func (k *Kernel) errResult(err error) Result { return Result{Ret: -1, Err: err} }
+
+// charge advances the clock by d for work done on t's behalf.
+func (k *Kernel) charge(t *Task, d time.Duration) { k.clock.Charge(t.Account(), d) }
 
 // String identifies the kernel in diagnostics.
 func (k *Kernel) String() string {

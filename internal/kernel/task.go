@@ -5,6 +5,7 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/netstack"
+	"anception/internal/sim"
 	"anception/internal/vfs"
 )
 
@@ -137,7 +138,14 @@ type Task struct {
 	// Shadow is opaque state the Anception layer attaches (the proxy
 	// binding). The kernel never interprets it.
 	Shadow any
+
+	// time is the simulated time charged on this task's behalf.
+	time sim.Account
 }
+
+// Account returns the sim-clock account this task's own work is charged
+// to: its system calls here, and whatever the layers above attribute to it.
+func (t *Task) Account() *sim.Account { return &t.time }
 
 func newTask(pid, ppid int, cred abi.Cred, comm string) *Task {
 	return &Task{

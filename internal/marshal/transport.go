@@ -25,6 +25,24 @@ type Transport interface {
 	Name() string
 }
 
+// AccountedTransport is a Transport that can charge one round trip's
+// channel costs to the calling actor's sim-clock account, so that actor's
+// sim.Span counts them and no other actor's does.
+type AccountedTransport interface {
+	Transport
+	// RoundTripAs is RoundTrip with its charges credited to acct.
+	RoundTripAs(acct *sim.Account, payload []byte, handler GuestHandler) ([]byte, error)
+}
+
+// RoundTripAs runs one round trip on tr charged to acct when tr is an
+// AccountedTransport, and as a plain (shared) RoundTrip otherwise.
+func RoundTripAs(tr Transport, acct *sim.Account, payload []byte, handler GuestHandler) ([]byte, error) {
+	if at, ok := tr.(AccountedTransport); ok {
+		return at.RoundTripAs(acct, payload, handler)
+	}
+	return tr.RoundTrip(payload, handler)
+}
+
 // ErrHang signals that a round-trip would never complete in real time: the
 // request was lost, the hypercall path is wedged, or the guest stopped
 // responding. The Anception layer converts it into an ETIMEDOUT at the
@@ -63,7 +81,7 @@ type PageChannel struct {
 	liveness  func() bool
 }
 
-var _ Transport = (*PageChannel)(nil)
+var _ AccountedTransport = (*PageChannel)(nil)
 
 // NewPageChannel builds the remapped-page transport. chunkSize <= 0 uses
 // the default 4096-byte chunking.
@@ -85,13 +103,13 @@ func (p *PageChannel) SetLiveness(probe func() bool) { p.liveness = probe }
 func (p *PageChannel) ChunkSize() int { return p.chunkSize }
 
 // chargeChunks models copying data through the fixed-size channel slots.
-func (p *PageChannel) chargeChunks(n int, perByte time.Duration) {
+func (p *PageChannel) chargeChunks(acct *sim.Account, n int, perByte time.Duration) {
 	if n == 0 {
-		p.clock.Advance(p.model.ChunkOverhead)
+		p.clock.Charge(acct, p.model.ChunkOverhead)
 		return
 	}
 	chunks := (n + p.chunkSize - 1) / p.chunkSize
-	p.clock.Advance(time.Duration(chunks)*p.model.ChunkOverhead + time.Duration(n)*perByte)
+	p.clock.Charge(acct, time.Duration(chunks)*p.model.ChunkOverhead+time.Duration(n)*perByte)
 }
 
 // RoundTrip implements Transport. The payload bytes really do traverse the
@@ -99,6 +117,11 @@ func (p *PageChannel) chargeChunks(n int, perByte time.Duration) {
 // (and only to) the container — the property the encfs extension's tests
 // rely on.
 func (p *PageChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, error) {
+	return p.RoundTripAs(nil, payload, handler)
+}
+
+// RoundTripAs implements AccountedTransport.
+func (p *PageChannel) RoundTripAs(acct *sim.Account, payload []byte, handler GuestHandler) ([]byte, error) {
 	// Liveness first: a panicked guest must not be signaled, and the
 	// handler must not run against its dead kernel. The distinct errno
 	// lets the layer tell "container dead" from "container slow".
@@ -110,20 +133,20 @@ func (p *PageChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, e
 		return nil, abi.ENXIO
 	}
 	// Outbound: copy into remapped guest pages, chunk by chunk.
-	p.chargeChunks(len(payload), p.model.CopyToGuestPerByte)
+	p.chargeChunks(acct, len(payload), p.model.CopyToGuestPerByte)
 	if err := p.copyThroughChannel(pages, payload); err != nil {
 		return nil, err
 	}
 	// Signal the guest and run the call there.
-	p.cvm.InjectInterrupt()
+	p.cvm.InjectInterrupt(acct)
 	resp := handler(payload)
 	// Inbound: the guest posts the response through the same pages and
 	// hypercalls back.
-	p.chargeChunks(len(resp), p.model.CopyFromGuestPerByte)
+	p.chargeChunks(acct, len(resp), p.model.CopyFromGuestPerByte)
 	if err := p.copyThroughChannel(pages, resp); err != nil {
 		return nil, err
 	}
-	p.cvm.Hypercall()
+	p.cvm.Hypercall(acct)
 	return resp, nil
 }
 
@@ -171,7 +194,7 @@ type SocketChannel struct {
 	liveness func() bool
 }
 
-var _ Transport = (*SocketChannel)(nil)
+var _ AccountedTransport = (*SocketChannel)(nil)
 
 // NewSocketChannel builds the ablation transport.
 func NewSocketChannel(cvm *hypervisor.CVM, clock *sim.Clock, model sim.LatencyModel) *SocketChannel {
@@ -186,13 +209,18 @@ func (s *SocketChannel) SetLiveness(probe func() bool) { s.liveness = probe }
 
 // RoundTrip implements Transport.
 func (s *SocketChannel) RoundTrip(payload []byte, handler GuestHandler) ([]byte, error) {
+	return s.RoundTripAs(nil, payload, handler)
+}
+
+// RoundTripAs implements AccountedTransport.
+func (s *SocketChannel) RoundTripAs(acct *sim.Account, payload []byte, handler GuestHandler) ([]byte, error) {
 	if s.liveness != nil && !s.liveness() {
 		return nil, errGuestDown("socket channel")
 	}
-	s.clock.Advance(s.model.SocketChannelFixed + time.Duration(len(payload))*s.model.SocketChannelPerByte)
-	s.cvm.InjectInterrupt()
+	s.clock.Charge(acct, s.model.SocketChannelFixed+time.Duration(len(payload))*s.model.SocketChannelPerByte)
+	s.cvm.InjectInterrupt(acct)
 	resp := handler(payload)
-	s.clock.Advance(s.model.SocketChannelFixed + time.Duration(len(resp))*s.model.SocketChannelPerByte)
-	s.cvm.Hypercall()
+	s.clock.Charge(acct, s.model.SocketChannelFixed+time.Duration(len(resp))*s.model.SocketChannelPerByte)
+	s.cvm.Hypercall(acct)
 	return resp, nil
 }

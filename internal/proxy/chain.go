@@ -42,7 +42,7 @@ func (m *Manager) chainStepHook() func(int) {
 // ran carry the failing error verbatim, and Executed stops counting, so
 // the host can split completions from failures positionally.
 func (m *Manager) ExecuteChainDrained(proxy *kernel.Task, links []marshal.ChainLink) marshal.ChainResult {
-	m.clock.Advance(m.model.SyscallEntry)
+	m.clock.Charge(proxy.Account(), m.model.SyscallEntry)
 	cr := marshal.ChainResult{Results: make([]kernel.Result, len(links))}
 	hook := m.chainStepHook()
 	var cursor int64

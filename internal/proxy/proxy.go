@@ -102,12 +102,12 @@ func (m *Manager) ProxyFor(hostPID int) *kernel.Task {
 // in-kernel handoff rather than four context switches (Section IV-3).
 func (m *Manager) Execute(proxy *kernel.Task, args kernel.Args) kernel.Result {
 	if m.naiveDispatch {
-		m.clock.Advance(m.model.ProxyDispatch + 4*m.model.GuestContextSwitch)
+		m.clock.Charge(proxy.Account(), m.model.ProxyDispatch+4*m.model.GuestContextSwitch)
 	} else {
-		m.clock.Advance(m.model.ProxyDispatch)
+		m.clock.Charge(proxy.Account(), m.model.ProxyDispatch)
 	}
 	// Guest-side trap entry for the call itself.
-	m.clock.Advance(m.model.SyscallEntry)
+	m.clock.Charge(proxy.Account(), m.model.SyscallEntry)
 	return m.guest.InvokeLocal(proxy, args)
 }
 
@@ -120,9 +120,9 @@ func (m *Manager) Execute(proxy *kernel.Task, args kernel.Args) kernel.Result {
 // success by looking only at the slice length.
 func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.Result, error) {
 	if m.naiveDispatch {
-		m.clock.Advance(m.model.ProxyDispatch + 4*m.model.GuestContextSwitch)
+		m.clock.Charge(proxy.Account(), m.model.ProxyDispatch+4*m.model.GuestContextSwitch)
 	} else {
-		m.clock.Advance(m.model.ProxyDispatch)
+		m.clock.Charge(proxy.Account(), m.model.ProxyDispatch)
 	}
 	return m.runCalls(proxy, calls)
 }
@@ -132,7 +132,7 @@ func (m *Manager) ExecuteBatch(proxy *kernel.Task, calls []*kernel.Args) ([]kern
 // drains every queued submission, so each drained call costs only its
 // guest-side trap entry (the guest half of doorbell coalescing).
 func (m *Manager) ExecuteDrained(proxy *kernel.Task, args kernel.Args) kernel.Result {
-	m.clock.Advance(m.model.SyscallEntry)
+	m.clock.Charge(proxy.Account(), m.model.SyscallEntry)
 	return m.guest.InvokeLocal(proxy, args)
 }
 
@@ -148,7 +148,7 @@ func (m *Manager) runCalls(proxy *kernel.Task, calls []*kernel.Args) ([]kernel.R
 	results := make([]kernel.Result, len(calls))
 	var firstErr error
 	for i, a := range calls {
-		m.clock.Advance(m.model.SyscallEntry)
+		m.clock.Charge(proxy.Account(), m.model.SyscallEntry)
 		results[i] = m.guest.InvokeLocal(proxy, *a)
 		if !results[i].Ok() && firstErr == nil {
 			firstErr = fmt.Errorf("batch call %d (%s): %w", i, a.Nr, results[i].Err)

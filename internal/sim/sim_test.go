@@ -241,3 +241,61 @@ func TestTraceDumpContainsKindAndMessage(t *testing.T) {
 		}
 	}
 }
+
+func TestSpanMatchesStopwatchForOneActor(t *testing.T) {
+	c := NewClock()
+	var app Account
+	c.Advance(time.Millisecond)
+	sp := c.StartSpan(&app)
+	sw := StartStopwatch(c)
+	c.Charge(&app, 30*time.Microsecond)
+	c.Advance(12 * time.Microsecond)
+	if got, want := sp.Elapsed(), sw.Elapsed(); got != want || got != 42*time.Microsecond {
+		t.Fatalf("span %v, stopwatch %v, want both 42us", got, want)
+	}
+}
+
+func TestSpanExcludesOtherActorsCharges(t *testing.T) {
+	c := NewClock()
+	var app, proxy, other Account
+	sp := c.StartSpan(&app, &proxy)
+	c.Charge(&app, 1*time.Microsecond)
+	c.Charge(&other, 12*time.Millisecond) // another app's binder call
+	c.Charge(&proxy, 5*time.Microsecond)
+	c.Advance(2 * time.Microsecond) // shared resource: counts for everyone
+	c.Charge(nil, 3*time.Microsecond)
+	if got := sp.Elapsed(); got != 11*time.Microsecond {
+		t.Fatalf("Elapsed() = %v, want 11us", got)
+	}
+	if got := c.Now(); got != 12*time.Millisecond+11*time.Microsecond {
+		t.Fatalf("Now() = %v: charges must still advance the shared clock", got)
+	}
+	if got := c.StartSpan().Elapsed(); got != 0 {
+		t.Fatalf("fresh span = %v", got)
+	}
+}
+
+func TestSpanConcurrentActorsProperty(t *testing.T) {
+	// Whatever order other actors' charges interleave with an actor's
+	// own, its span is exactly its own plus the shared charges.
+	f := func(own, foreign []uint16, shared uint16) bool {
+		c := NewClock()
+		var me, them Account
+		sp := c.StartSpan(&me)
+		var want time.Duration
+		for i := 0; i < len(own) || i < len(foreign); i++ {
+			if i < len(own) {
+				c.Charge(&me, time.Duration(own[i]))
+				want += time.Duration(own[i])
+			}
+			if i < len(foreign) {
+				c.Charge(&them, time.Duration(foreign[i]))
+			}
+		}
+		c.Advance(time.Duration(shared))
+		return sp.Elapsed() == want+time.Duration(shared)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -96,7 +96,7 @@ type Injector struct {
 	stats     InjectorStats
 }
 
-var _ marshal.Transport = (*Injector)(nil)
+var _ marshal.AccountedTransport = (*Injector)(nil)
 var _ marshal.LivenessSetter = (*Injector)(nil)
 
 // NewInjector wraps a transport. The RNG drives probability-mode faults
@@ -240,6 +240,12 @@ func (i *Injector) pick() (FaultKind, time.Duration) {
 // RoundTrip implements marshal.Transport: apply at most one fault, then
 // (for survivable kinds) delegate to the wrapped transport.
 func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]byte, error) {
+	return i.RoundTripAs(nil, payload, handler)
+}
+
+// RoundTripAs implements marshal.AccountedTransport: an injected delay,
+// like the wrapped transport's own costs, is charged to acct.
+func (i *Injector) RoundTripAs(acct *sim.Account, payload []byte, handler marshal.GuestHandler) ([]byte, error) {
 	kind, delay := i.pick()
 	switch kind {
 	case FaultDrop:
@@ -256,10 +262,10 @@ func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]by
 		if i.trace != nil {
 			i.trace.Record(sim.EvFault, "injected: %v delay", delay)
 		}
-		i.clock.Advance(delay)
-		return i.inner.RoundTrip(payload, handler)
+		i.clock.Charge(acct, delay)
+		return marshal.RoundTripAs(i.inner, acct, payload, handler)
 	case FaultCorrupt:
-		resp, err := i.inner.RoundTrip(payload, handler)
+		resp, err := marshal.RoundTripAs(i.inner, acct, payload, handler)
 		if err != nil || len(resp) == 0 {
 			return resp, err
 		}
@@ -276,7 +282,7 @@ func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]by
 		}
 		return out, nil
 	case FaultTruncate:
-		resp, err := i.inner.RoundTrip(payload, handler)
+		resp, err := marshal.RoundTripAs(i.inner, acct, payload, handler)
 		if err != nil || len(resp) == 0 {
 			return resp, err
 		}
@@ -295,8 +301,8 @@ func (i *Injector) RoundTrip(payload []byte, handler marshal.GuestHandler) ([]by
 		if i.trace != nil {
 			i.trace.Record(sim.EvFault, "injected: latest checkpoint image corrupted")
 		}
-		return i.inner.RoundTrip(payload, handler)
+		return marshal.RoundTripAs(i.inner, acct, payload, handler)
 	default:
-		return i.inner.RoundTrip(payload, handler)
+		return marshal.RoundTripAs(i.inner, acct, payload, handler)
 	}
 }
