@@ -45,18 +45,7 @@ func (l *Layer) forwardRing(st *layerState, ring marshal.AsyncTransport, t *kern
 
 	span := l.clock.StartSpan(t.Account(), p.Account())
 	respBytes, werr := ring.Call(payload, ringKey(t, args), func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgs(req)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
-			decoded.Buf = make([]byte, decoded.Size)
-		}
-		resp := marshal.EncodeResult(st.proxies.ExecuteDrained(p, *decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return st.serveCall(p, req, marshal.DecodeArgs, true)
 	})
 	if werr != nil {
 		return l.transportFailure(t, args, span, werr)
@@ -100,23 +89,7 @@ func (l *Layer) forwardBatchRing(st *layerState, ring marshal.AsyncTransport, t 
 
 	span := l.clock.StartSpan(t.Account(), p.Account())
 	respBytes, werr := ring.Call(payload, ringKey(t, calls[0]), func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgsBatch(req)
-		if derr != nil {
-			return marshal.EncodeResultBatch([]kernel.Result{{Ret: -1, Err: abi.EINVAL}})
-		}
-		for _, d := range decoded {
-			if isReadLike(d.Nr) && d.Buf == nil && d.Size > 0 {
-				d.Buf = make([]byte, d.Size)
-			}
-		}
-		// Per-call errors travel home positionally inside the encoded
-		// result vector; the aggregate error is for direct Manager users.
-		batch, _ := st.proxies.ExecuteBatchDrained(p, decoded)
-		resp := marshal.EncodeResultBatch(batch)
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return st.serveBatch(p, req, true)
 	})
 	if werr != nil {
 		fail := l.transportFailure(t, calls[0], span, werr)

@@ -295,16 +295,21 @@ func (l *Layer) BinderStats() BinderStats {
 // Options.BinderReplyCache idempotent replies are served host-side.
 func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, txn binder.Transaction) kernel.Result {
 	g := st.guest
-	if g.Panicked() != "" {
-		l.counters.hostDown.Add(1)
-		return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container down: %w", abi.EHOSTDOWN)}
-	}
 	fp := l.binder
 	// A forced-sync override pins the paper's synchronous bridge: no
 	// reply cache, no session dispatch.
 	forceSync := l.policy.forceSync()
+	sessions := fp != nil && fp.sessions && !forceSync
+	// The synchronous bridge checks liveness up front. The session arm
+	// checks it after the degraded-mode gate (bridgeBinderSession), so a
+	// call that loaded st before a live upgrade gated and panicked the
+	// guest fails EAGAIN and retries, never EHOSTDOWN.
+	alive := g.Panicked() == ""
+	if !alive && !sessions {
+		return l.binderHostDown()
+	}
 	readOnly := false
-	if fp != nil && fp.replyCache && !st.degraded && !forceSync {
+	if fp != nil && fp.replyCache && alive && !st.degraded && !forceSync {
 		readOnly = !txn.Oneway && g.Binder().IsReadOnly(txn.Service, txn.Code)
 		if !readOnly {
 			// A mutating (or oneway) transaction may change anything the
@@ -335,7 +340,7 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 
 	var res kernel.Result
 	var gen int
-	if fp != nil && fp.sessions && !forceSync {
+	if sessions {
 		res, gen = l.bridgeBinderSession(st, t, args, txn)
 	} else {
 		if readOnly {
@@ -352,6 +357,12 @@ func (l *Layer) bridgeBinder(st *layerState, t *kernel.Task, args *kernel.Args, 
 		fp.storeReply(replyKeyFor(txn), res.Data, gen, l.clock.Now())
 	}
 	return res
+}
+
+// binderHostDown fails a bridged transaction whose container is dead.
+func (l *Layer) binderHostDown() kernel.Result {
+	l.counters.hostDown.Add(1)
+	return kernel.Result{Ret: -1, Err: fmt.Errorf("binder bridge: container down: %w", abi.EHOSTDOWN)}
 }
 
 // bridgeBinderSync is the original uncached bridge: one synchronous CVM
@@ -385,6 +396,9 @@ func (l *Layer) bridgeBinderSession(st *layerState, t *kernel.Task, args *kernel
 		return kernel.Result{Ret: -1, Err: fmt.Errorf("container circuit breaker open: %w", abi.EAGAIN)}, 0
 	}
 	defer l.exitGuestCall()
+	if st.guest.Panicked() != "" {
+		return l.binderHostDown(), 0
+	}
 	fp.submitted.Add(1)
 	sid, gen, setup, err := l.ensureBinderSession(st, t, txn.Service)
 	if err != nil {

@@ -1181,18 +1181,7 @@ func (l *Layer) forwardSyncOn(st *layerState, tr marshal.Transport, t *kernel.Ta
 
 	span := l.clock.StartSpan(t.Account(), p.Account())
 	respBytes, terr := marshal.RoundTripAs(tr, t.Account(), payload, func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgs(req)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
-			decoded.Buf = make([]byte, decoded.Size)
-		}
-		resp := marshal.EncodeResult(st.proxies.Execute(p, *decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return st.serveCall(p, req, marshal.DecodeArgs, false)
 	})
 	if terr != nil {
 		return l.transportFailure(t, args, span, terr)
@@ -1244,23 +1233,7 @@ func (l *Layer) forwardBatch(st *layerState, t *kernel.Task, calls []*kernel.Arg
 
 	span := l.clock.StartSpan(t.Account(), p.Account())
 	respBytes, terr := marshal.RoundTripAs(l.syncTransport(st), t.Account(), payload, func(req []byte) []byte {
-		decoded, derr := marshal.DecodeArgsBatch(req)
-		if derr != nil {
-			return marshal.EncodeResultBatch([]kernel.Result{{Ret: -1, Err: abi.EINVAL}})
-		}
-		for _, d := range decoded {
-			if isReadLike(d.Nr) && d.Buf == nil && d.Size > 0 {
-				d.Buf = make([]byte, d.Size)
-			}
-		}
-		// Per-call errors ride home positionally inside the encoded
-		// result vector; the aggregate error serves direct Manager users.
-		batch, _ := st.proxies.ExecuteBatch(p, decoded)
-		resp := marshal.EncodeResultBatch(batch)
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return st.serveBatch(p, req, false)
 	})
 	if terr != nil {
 		fail := l.transportFailure(t, calls[0], span, terr)
@@ -1313,6 +1286,59 @@ func (l *Layer) forwardWithFDResult(t *kernel.Task, args *kernel.Args) kernel.Re
 		Path:    args.Path,
 	})
 	return kernel.Result{Ret: int64(hostFD), FD: hostFD, Data: res.Data}
+}
+
+// serveCall is the guest half of one redirected call: decode the request,
+// execute it in proxy p, encode the result and apply any tamper hook. A
+// read-like call executes straight into the data region of its reply
+// frame, so its bytes are written once and never copied into the frame.
+// drained marks a ring slot, whose proxy dispatch the pool already paid.
+func (st *layerState) serveCall(p *kernel.Task, req []byte, decode func([]byte) (*kernel.Args, error), drained bool) []byte {
+	decoded, derr := decode(req)
+	if derr != nil {
+		return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
+	}
+	var frame []byte
+	if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
+		frame, decoded.Buf = marshal.NewReadFrame(decoded.Size)
+	}
+	var res kernel.Result
+	if drained {
+		res = st.proxies.ExecuteDrained(p, *decoded)
+	} else {
+		res = st.proxies.Execute(p, *decoded)
+	}
+	resp := marshal.EncodeResultIn(frame, res)
+	if st.tamper != nil {
+		resp = st.tamper(resp)
+	}
+	return resp
+}
+
+// serveBatch is serveCall for a coalesced batch frame. Per-call errors
+// ride home positionally inside the encoded result vector; the aggregate
+// error serves direct Manager users.
+func (st *layerState) serveBatch(p *kernel.Task, req []byte, drained bool) []byte {
+	decoded, derr := marshal.DecodeArgsBatch(req)
+	if derr != nil {
+		return marshal.EncodeResultBatch([]kernel.Result{{Ret: -1, Err: abi.EINVAL}})
+	}
+	for _, d := range decoded {
+		if isReadLike(d.Nr) && d.Buf == nil && d.Size > 0 {
+			d.Buf = make([]byte, d.Size)
+		}
+	}
+	var batch []kernel.Result
+	if drained {
+		batch, _ = st.proxies.ExecuteBatchDrained(p, decoded)
+	} else {
+		batch, _ = st.proxies.ExecuteBatch(p, decoded)
+	}
+	resp := marshal.EncodeResultBatch(batch)
+	if st.tamper != nil {
+		resp = st.tamper(resp)
+	}
+	return resp
 }
 
 // isReadLike reports calls whose buffer argument is output-only.

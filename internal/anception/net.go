@@ -124,18 +124,7 @@ func (l *Layer) forwardSockInner(st *layerState, t *kernel.Task, args *kernel.Ar
 
 	span := l.clock.StartSpan(t.Account(), p.Account())
 	respBytes, werr := ring.Call(payload, ringKey(t, args), func(req []byte) []byte {
-		decoded, derr := marshal.DecodeSockOp(req)
-		if derr != nil {
-			return marshal.EncodeResult(kernel.Result{Ret: -1, Err: abi.EINVAL})
-		}
-		if isReadLike(decoded.Nr) && decoded.Buf == nil && decoded.Size > 0 {
-			decoded.Buf = make([]byte, decoded.Size)
-		}
-		resp := marshal.EncodeResult(st.proxies.ExecuteDrained(p, *decoded))
-		if st.tamper != nil {
-			resp = st.tamper(resp)
-		}
-		return resp
+		return st.serveCall(p, req, marshal.DecodeSockOp, true)
 	})
 	if werr != nil {
 		return l.transportFailure(t, args, span, werr), true

@@ -9,6 +9,8 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/android"
+	"anception/internal/binder"
+	"anception/internal/kernel"
 )
 
 // bootSnapshotDevice boots an Anception device with checkpoints enabled
@@ -334,4 +336,31 @@ func TestLiveUpgradeUnderLoad(t *testing.T) {
 		t.Fatalf("ring accounting broken after upgrades: %+v", st.Ring)
 	}
 	binderIdentity(t, d)
+}
+
+// TestLiveUpgradeGateBeforeLiveness replays the interleaving behind
+// EHOSTDOWN during a live upgrade, deterministically: a binder call loads
+// the layer state, then the upgrade gates new calls and panics the guest,
+// and only then does the call reach the session bridge. The gate must
+// win: the call fails EAGAIN (retry) rather than EHOSTDOWN.
+func TestLiveUpgradeGateBeforeLiveness(t *testing.T) {
+	d := bootPolicyDevice(t, Options{BinderSessions: true})
+	app := installAndLaunch(t, d, "com.upgrade.race")
+	bfd, err := app.OpenBinder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.BinderCall(bfd, "location", android.CodeGetLocation, nil); err != nil {
+		t.Fatal(err) // opens the session
+	}
+	txn := binder.Transaction{Service: "location", Code: android.CodeGetLocation}
+	args := &kernel.Args{Nr: abi.SysIoctl, FD: bfd, Request: binder.IocTransact, Buf: binder.EncodeTransaction(txn)}
+
+	st := d.Layer.currentState()
+	d.SetDegraded(true)
+	d.Guest.Panic("live upgrade")
+	res := d.Layer.bridgeBinder(st, app.Task, args, txn)
+	if !errors.Is(res.Err, abi.EAGAIN) {
+		t.Fatalf("gated call racing the upgrade: err = %v, want EAGAIN", res.Err)
+	}
 }

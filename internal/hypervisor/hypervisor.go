@@ -189,16 +189,21 @@ func (c *CVM) ChannelRemapped() bool {
 	return c.remapped
 }
 
-// WriteChannelFrame stores data into a channel frame. The host side may do
-// this despite the frame being guest-owned because the frame was remapped
-// into host kernel space at launch (the kmap of Figure 4); the region
-// check is therefore performed against the guest region, which by
-// construction contains every channel frame.
-func (c *CVM) WriteChannelFrame(f kernel.FrameID, data []byte) error {
-	if !c.region.Contains(f) {
-		return fmt.Errorf("channel frame %d outside guest region: %w", f, abi.EINVAL)
+// WriteChannelFrames copies data through the channel frames pages in
+// page-sized chunks, starting at pages[first%len(pages)] and wrapping
+// round robin: the one host-side copy of a channel transfer, made under a
+// single lock of physical memory. Every frame written is version-bumped,
+// so incremental snapshots still see the channel as dirty. The host side
+// may write these frames despite their being guest-owned because they
+// were remapped into host kernel space at launch (the kmap of Figure 4);
+// the region check is therefore made against the guest region, which by
+// construction contains every channel frame, and a frame outside it is
+// rejected (EPERM). An empty channel is ENXIO.
+func (c *CVM) WriteChannelFrames(pages []kernel.FrameID, first int, data []byte) error {
+	if len(pages) == 0 {
+		return abi.ENXIO
 	}
-	return c.phys.WriteFrame(c.region, f, 0, data)
+	return c.phys.WriteFrameRun(c.region, pages, first, data)
 }
 
 // ReadChannelFrame copies a channel frame's head into buf.

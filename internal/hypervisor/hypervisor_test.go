@@ -189,3 +189,52 @@ func TestRelaunchRebuildsChannelAndWipesFrames(t *testing.T) {
 		t.Fatalf("switches in = %d", in)
 	}
 }
+
+// TestWriteChannelFramesRun: a run of channel writes lands chunk by chunk
+// round robin from the first frame it names, wraps past the last, and
+// bumps each written frame's version once per chunk, as a WriteChannelFrame
+// per chunk would, so incremental snapshots see the channel as dirty.
+func TestWriteChannelFramesRun(t *testing.T) {
+	phys := kernel.NewPhysical(1 << 30)
+	c := launchTestCVM(t, phys)
+	pages := c.ChannelPages()
+	before := phys.FrameVersions(c.Region())
+
+	// Three full pages and a 10-byte tail from slot 14 of 16: frames
+	// 14, 15, 0 and 1.
+	data := make([]byte, 3*abi.PageSize+10)
+	for i := range data {
+		data[i] = byte(i / abi.PageSize * 17)
+	}
+	if err := c.WriteChannelFrames(pages, 14, data); err != nil {
+		t.Fatal(err)
+	}
+	after := phys.FrameVersions(c.Region())
+	for i, f := range pages {
+		want := uint64(0)
+		if i == 14 || i == 15 || i == 0 || i == 1 {
+			want = 1
+		}
+		off := f - c.Region().Start
+		if got := after[off] - before[off]; got != want {
+			t.Errorf("channel frame %d (%d): version moved by %d, want %d", i, f, got, want)
+		}
+	}
+	for chunk, slot := range []int{14, 15, 0, 1} {
+		got := make([]byte, 10)
+		if err := c.ReadChannelFrame(pages[slot], got); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range got {
+			if b != byte(chunk*17) {
+				t.Fatalf("slot %d holds %x, want chunk %d", slot, got, chunk)
+			}
+		}
+	}
+	if err := c.WriteChannelFrames(nil, 0, data); !errors.Is(err, abi.ENXIO) {
+		t.Fatalf("empty channel: err = %v, want ENXIO", err)
+	}
+	if err := c.WriteChannelFrames([]kernel.FrameID{c.Region().End}, 0, data[:1]); !errors.Is(err, abi.EPERM) {
+		t.Fatalf("frame outside the guest region: err = %v, want EPERM", err)
+	}
+}

@@ -352,11 +352,15 @@ func (p *Physical) Owner(f FrameID) FrameOwner {
 // accessor's region is checked: a guest-confined accessor touching a frame
 // outside its region is an isolation violation and is rejected.
 func (p *Physical) WriteFrame(accessor Region, f FrameID, off int, data []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.writeFrameLocked(accessor, f, off, data)
+}
+
+func (p *Physical) writeFrameLocked(accessor Region, f FrameID, off int, data []byte) error {
 	if accessor.End != 0 && !accessor.Contains(f) {
 		return fmt.Errorf("write to frame %d outside accessor region: %w", f, abi.EPERM)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if int(f) >= len(p.frames) || off+len(data) > abi.PageSize {
 		return abi.EINVAL
 	}
@@ -366,6 +370,27 @@ func (p *Physical) WriteFrame(accessor Region, f FrameID, off int, data []byte) 
 	}
 	copy(fr.data[off:], data)
 	fr.version++
+	return nil
+}
+
+// WriteFrameRun writes data across frames in page-sized chunks from page
+// offset 0, starting at frames[first%len(frames)] and wrapping round
+// robin, under one acquisition of the memory lock: one WriteFrame per
+// chunk, version bumps included. A chunk that WriteFrame would reject
+// fails the run there; the chunks before it stay written.
+func (p *Physical) WriteFrameRun(accessor Region, frames []FrameID, first int, data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
+	slot := first % len(frames)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for off := 0; off < len(data); off += abi.PageSize {
+		if err := p.writeFrameLocked(accessor, frames[slot], 0, data[off:min(off+abi.PageSize, len(data))]); err != nil {
+			return err
+		}
+		slot = (slot + 1) % len(frames)
+	}
 	return nil
 }
 

@@ -133,14 +133,10 @@ func DecodeChain(b []byte) ([]ChainLink, error) {
 // EncodeChainResult frames the guest's per-link results plus the executed
 // count for the completion post.
 func EncodeChainResult(cr ChainResult) []byte {
-	var w writer
+	w := writer{buf: make([]byte, 0, 8+resultsSize(cr.Results))}
 	w.u32(int64(len(cr.Results)))
 	w.u32(int64(cr.Executed))
-	for _, res := range cr.Results {
-		blob := EncodeResult(res)
-		w.u32(int64(len(blob)))
-		w.buf = append(w.buf, blob...)
-	}
+	w.appendResults(cr.Results)
 	return w.buf
 }
 

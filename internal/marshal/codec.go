@@ -359,13 +359,9 @@ func DecodeArgsBatch(b []byte) ([]*kernel.Args, error) {
 
 // EncodeResultBatch frames the per-call results of a batched exchange.
 func EncodeResultBatch(results []kernel.Result) []byte {
-	var w writer
+	w := writer{buf: make([]byte, 0, 4+resultsSize(results))}
 	w.u32(int64(len(results)))
-	for _, res := range results {
-		blob := EncodeResult(res)
-		w.u32(int64(len(blob)))
-		w.buf = append(w.buf, blob...)
-	}
+	w.appendResults(results)
 	return w.buf
 }
 
@@ -394,29 +390,124 @@ func DecodeResultBatch(b []byte) ([]kernel.Result, error) {
 	return results, nil
 }
 
+// A result frame that carries data opens with a fixed header — tagRet
+// and its u64, then tagData and its u32 length — so the data always
+// starts at resultHeader. What can follow the data is at most a
+// descriptor field and an errno field.
+const (
+	resultHeader  = 1 + 8 + 1 + 4
+	resultTrailer = 9 + 9
+)
+
 // EncodeResult flattens a syscall result for the return trip.
 func EncodeResult(res kernel.Result) []byte {
-	// An upper bound: an errno needs 9 bytes, error text its length + 5.
-	var errno abi.Errno
-	var errText string
-	isErrno := res.Err != nil && errors.As(res.Err, &errno)
-	n := 9 + sizeBytes(len(res.Data)) + size64(uint64(int64(res.FD))) + 9
-	if res.Err != nil && !isErrno {
-		errText = res.Err.Error()
-		n += len(errText)
+	e := splitErr(res.Err)
+	w := writer{buf: make([]byte, 0, resultSize(res, e))}
+	w.result(res, e)
+	return w.buf
+}
+
+// NewReadFrame allocates the reply frame for a read of up to n bytes and
+// returns the frame with its data region: the guest executes the read
+// straight into buf, and EncodeResultIn then frames it without copying.
+// Allocate one per call and never reuse it: the host's decoded Data is a
+// view of this frame (DecodeResult).
+func NewReadFrame(n int) (frame, buf []byte) {
+	frame = make([]byte, resultHeader+n, resultHeader+n+resultTrailer)
+	return frame, frame[resultHeader : resultHeader+n : resultHeader+n]
+}
+
+// EncodeResultIn encodes res into frame, a NewReadFrame frame whose whole
+// data region res.Data already is: it writes the header and trailer
+// around the data in place. Any other result — a short or empty read,
+// data from elsewhere (readv scratch, a tampered result), or a nil frame
+// — is encoded by EncodeResult. The bytes are EncodeResult's either way.
+func EncodeResultIn(frame []byte, res kernel.Result) []byte {
+	n := len(res.Data)
+	if n == 0 || len(frame) != resultHeader+n || &res.Data[0] != &frame[resultHeader] {
+		return EncodeResult(res)
 	}
-	w := writer{buf: make([]byte, 0, n)}
+	w := writer{buf: frame[:0]}
+	w.u8(tagRet)
+	w.u64(uint64(res.Ret))
+	w.u8(tagData)
+	w.u32(int64(n))
+	w.buf = frame
+	w.resultTrailer(res, splitErr(res.Err))
+	return w.buf
+}
+
+// wireErr is a result's error as its frame carries it: an errno when one
+// is in the error's chain, else the error's text.
+type wireErr struct {
+	errno   abi.Errno
+	isErrno bool
+	text    string
+}
+
+func splitErr(err error) wireErr {
+	if err == nil {
+		return wireErr{}
+	}
+	if errno, ok := err.(abi.Errno); ok {
+		return wireErr{errno: errno, isErrno: true}
+	}
+	// Declared here, not above: errors.As moves it to the heap, which a
+	// successful result must not pay for.
+	var errno abi.Errno
+	if errors.As(err, &errno) {
+		return wireErr{errno: errno, isErrno: true}
+	}
+	return wireErr{text: err.Error()}
+}
+
+// resultSize is the exact length of EncodeResult(res), e its split error.
+func resultSize(res kernel.Result, e wireErr) int {
+	n := 9 + sizeBytes(len(res.Data)) + size64(uint64(int64(res.FD)))
+	if e.isErrno {
+		return n + 9
+	}
+	return n + sizeBytes(len(e.text))
+}
+
+// result appends res's frame.
+func (w *writer) result(res kernel.Result, e wireErr) {
 	w.u8(tagRet)
 	w.u64(uint64(res.Ret))
 	w.fieldBytes(tagData, res.Data)
+	w.resultTrailer(res, e)
+}
+
+// resultTrailer appends the fields after a result's data.
+func (w *writer) resultTrailer(res kernel.Result, e wireErr) {
 	w.field64(tagResFD, uint64(int64(res.FD)))
-	if isErrno {
+	if e.isErrno {
 		w.u8(tagErrno)
-		w.u64(uint64(int64(errno)))
+		w.u64(uint64(int64(e.errno)))
 	} else {
-		w.fieldString(tagErrText, errText)
+		w.fieldString(tagErrText, e.text)
 	}
-	return w.buf
+}
+
+// appendResults appends each result's frame behind a u32 length prefix,
+// patched in place once the frame is written: the results of a batch or
+// chain frame, each written once.
+func (w *writer) appendResults(results []kernel.Result) {
+	for _, res := range results {
+		at := len(w.buf)
+		w.u32(0)
+		w.result(res, splitErr(res.Err))
+		binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+	}
+}
+
+// resultsSize is the length appendResults adds for results.
+func resultsSize(results []kernel.Result) int {
+	n := 0
+	for _, res := range results {
+		n += 4 + resultSize(res, splitErr(res.Err))
+	}
+	return n
 }
 
 // DecodeResult reverses EncodeResult. Errno errors survive the trip

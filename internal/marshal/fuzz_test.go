@@ -1,6 +1,9 @@
 package marshal
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"anception/internal/abi"
@@ -105,6 +108,49 @@ func FuzzArgsRoundTrip(f *testing.F) {
 		}
 		if out.Path != path || out.FD != fd || out.Off != off || out.Tag != tag {
 			t.Fatal("round trip mismatch")
+		}
+	})
+}
+
+// FuzzEncodeResultIn: framing a result in place must give EncodeResult's
+// bytes exactly, for a read that filled the whole data region, part of
+// it, none of it, or data that lives elsewhere, under every error shape.
+func FuzzEncodeResultIn(f *testing.F) {
+	f.Add(int64(4096), uint16(4096), uint8(2), int64(0), uint8(0), int64(0), "")
+	f.Add(int64(100), uint16(4096), uint8(1), int64(0), uint8(0), int64(0), "")
+	f.Add(int64(0), uint16(64), uint8(0), int64(0), uint8(0), int64(0), "")
+	f.Add(int64(-1), uint16(16), uint8(0), int64(0), uint8(1), int64(abi.EAGAIN), "")
+	f.Add(int64(8), uint16(8), uint8(2), int64(5), uint8(2), int64(abi.EINTR), "recv")
+	f.Add(int64(8), uint16(8), uint8(2), int64(-1), uint8(3), int64(0), "proxy exploded")
+	f.Add(int64(8), uint16(8), uint8(3), int64(0), uint8(0), int64(0), "")
+	f.Add(int64(7), uint16(8), uint8(4), int64(0), uint8(0), int64(0), "")
+	f.Fuzz(func(t *testing.T, ret int64, size uint16, readLen uint8, fd int64, errKind uint8, errno int64, text string) {
+		frame, buf := NewReadFrame(int(size))
+		for i := range buf {
+			buf[i] = byte(i*7 + 1)
+		}
+		res := kernel.Result{Ret: ret, FD: int(fd)}
+		switch readLen % 5 {
+		case 1: // short read
+			res.Data = buf[:len(buf)/2]
+		case 2: // full read
+			res.Data = buf
+		case 3: // data from elsewhere (readv scratch, a tampered result)
+			res.Data = bytes.Clone(buf)
+		case 4: // a view of the frame at the wrong offset
+			res.Data = frame[1 : 1+len(buf)/2]
+		}
+		switch errKind % 4 {
+		case 1:
+			res.Err = abi.Errno(errno)
+		case 2:
+			res.Err = fmt.Errorf("%s: %w", text, abi.Errno(errno))
+		case 3:
+			res.Err = errors.New(text)
+		}
+		want := EncodeResult(res)
+		if got := EncodeResultIn(frame, res); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeResultIn = %x, want %x", got, want)
 		}
 	})
 }

@@ -114,3 +114,55 @@ func TestDecodeViewsFrame(t *testing.T) {
 		t.Fatalf("Buf is not a capped view of the frame: %q cap %d", a.Buf, cap(a.Buf))
 	}
 }
+
+// goldenChainDigest is the SHA-256 of the golden chain results' encoded
+// frames, pinning EncodeChainResult's wire format as goldenFrameDigest
+// pins the single-call and batch frames.
+const goldenChainDigest = "bc3d7e5693fcefef796bab9655f62bddee94fda0b3bcb1e52e5e124c8bd04804"
+
+// TestChainResultGoldenDigest pins EncodeChainResult byte for byte over
+// full, partial, single-link and empty-result chains built from the
+// golden results.
+func TestChainResultGoldenDigest(t *testing.T) {
+	chains := []ChainResult{
+		{Executed: len(goldenResults), Results: goldenResults},
+		{Executed: 3, Results: goldenResults[3:8]},
+		{Executed: 0, Results: goldenResults[:1]},
+		{Executed: 1, Results: goldenResults[8:]},
+		{Executed: 0, Results: nil},
+	}
+	h := sha256.New()
+	for _, cr := range chains {
+		b := EncodeChainResult(cr)
+		fmt.Fprintf(h, "%d:", len(b))
+		h.Write(b)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenChainDigest {
+		t.Fatalf("chain result frame digest %s, want %s", got, goldenChainDigest)
+	}
+}
+
+// TestEncodeResultInPlace: a full read framed in its NewReadFrame frame
+// is encoded without copying or allocating, and the frame is the result.
+func TestEncodeResultInPlace(t *testing.T) {
+	frame, buf := NewReadFrame(4096)
+	copy(buf, "page bytes")
+	res := kernel.Result{Ret: 4096, Data: buf}
+	want := EncodeResult(res)
+	var got []byte
+	allocs := testing.AllocsPerRun(100, func() { got = EncodeResultIn(frame, res) })
+	if allocs != 0 {
+		t.Fatalf("EncodeResultIn allocates %.1f objects for a full read, want 0", allocs)
+	}
+	if &got[0] != &frame[0] || string(got) != string(want) {
+		t.Fatal("full read was not framed in place with EncodeResult's bytes")
+	}
+}
+
+// TestEncodeResultAllocs: a successful result costs only its frame.
+func TestEncodeResultAllocs(t *testing.T) {
+	res := kernel.Result{Ret: 5, Data: []byte("hello"), FD: 3}
+	if allocs := testing.AllocsPerRun(100, func() { _ = EncodeResult(res) }); allocs != 1 {
+		t.Fatalf("EncodeResult of a successful result allocates %.1f objects, want 1", allocs)
+	}
+}

@@ -362,7 +362,7 @@ func (r *RingChannel) claim(payload []byte, key int64, handler GuestHandler) (*P
 		r.chargeChunks(len(payload), r.model.CopyToGuestPerByte)
 	}
 	r.clock.Advance(r.model.RingSlotOverhead)
-	if err := r.copySlotFrames(s.idx, payload); err != nil {
+	if err := r.cvm.WriteChannelFrames(r.cvm.ChannelPagesRO(), s.idx, payload); err != nil {
 		// Slot never reached the SQ; recycle it directly.
 		s.payload, s.handler = nil, nil
 		s.state.Store(slotFree)
@@ -450,7 +450,7 @@ func (r *RingChannel) completeWith(s *Pending, resp []byte, err error) {
 			r.chargeChunks(len(resp), r.model.CopyFromGuestPerByte)
 		}
 		r.clock.Advance(r.model.RingCompletionPost)
-		_ = r.copySlotFrames(s.idx, resp)
+		_ = r.cvm.WriteChannelFrames(r.cvm.ChannelPagesRO(), s.idx, resp)
 		r.completed.Add(1)
 	} else {
 		r.failed.Add(1)
@@ -543,29 +543,4 @@ func (r *RingChannel) RingStats() RingStats {
 		Rearms:      rearms,
 		MaxInFlight: int(r.maxInFly.Load()),
 	}
-}
-
-// copySlotFrames writes data through the slot's share of the remapped
-// channel frames (slot idx anchors the frame round-robin), so submitted
-// and completed bytes genuinely exist in guest-visible memory.
-func (r *RingChannel) copySlotFrames(idx int, data []byte) error {
-	pages := r.cvm.ChannelPagesRO()
-	if len(pages) == 0 {
-		return abi.ENXIO
-	}
-	slot := idx % len(pages)
-	if len(data) == 0 {
-		return nil
-	}
-	for off := 0; off < len(data); off += abi.PageSize {
-		end := off + abi.PageSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if err := r.cvm.WriteChannelFrame(pages[slot], data[off:end]); err != nil {
-			return err
-		}
-		slot = (slot + 1) % len(pages)
-	}
-	return nil
 }

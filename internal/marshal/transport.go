@@ -7,7 +7,6 @@ import (
 
 	"anception/internal/abi"
 	"anception/internal/hypervisor"
-	"anception/internal/kernel"
 	"anception/internal/sim"
 )
 
@@ -134,7 +133,7 @@ func (p *PageChannel) RoundTripAs(acct *sim.Account, payload []byte, handler Gue
 	}
 	// Outbound: copy into remapped guest pages, chunk by chunk.
 	p.chargeChunks(acct, len(payload), p.model.CopyToGuestPerByte)
-	if err := p.copyThroughChannel(pages, payload); err != nil {
+	if err := p.cvm.WriteChannelFrames(pages, 0, payload); err != nil {
 		return nil, err
 	}
 	// Signal the guest and run the call there.
@@ -143,31 +142,11 @@ func (p *PageChannel) RoundTripAs(acct *sim.Account, payload []byte, handler Gue
 	// Inbound: the guest posts the response through the same pages and
 	// hypercalls back.
 	p.chargeChunks(acct, len(resp), p.model.CopyFromGuestPerByte)
-	if err := p.copyThroughChannel(pages, resp); err != nil {
+	if err := p.cvm.WriteChannelFrames(pages, 0, resp); err != nil {
 		return nil, err
 	}
 	p.cvm.Hypercall(acct)
 	return resp, nil
-}
-
-// copyThroughChannel writes data into the channel frames (ring-style) so
-// the bytes genuinely exist in guest-visible memory.
-func (p *PageChannel) copyThroughChannel(pages []kernel.FrameID, data []byte) error {
-	slot := 0
-	for off := 0; off < len(data); off += abi.PageSize {
-		end := off + abi.PageSize
-		if end > len(data) {
-			end = len(data)
-		}
-		// The host kernel may write these frames because they were
-		// remapped into its address space at launch; physically they are
-		// guest frames, which is the point.
-		if err := p.cvm.WriteChannelFrame(pages[slot], data[off:end]); err != nil {
-			return err
-		}
-		slot = (slot + 1) % len(pages)
-	}
-	return nil
 }
 
 // LastChannelBytes returns the current contents of the first channel
